@@ -56,8 +56,11 @@ void print_usage(std::ostream& os) {
         "                     Output is byte-identical either way — the\n"
         "                     flag trades speed, never results\n"
         "  --cache/--no-cache share constructed schemes across cells and\n"
-        "                     cache decoding coefficients per cell (default\n"
-        "                     on; output is byte-identical either way; hit\n"
+        "                     cache, per cell, the decoding coefficients of\n"
+        "                     the few decodes each round's arrival gate\n"
+        "                     admits, so it hits only on repeated straggler\n"
+        "                     patterns (default on; output is\n"
+        "                     byte-identical either way; hit\n"
         "                     rates go to stderr; applies to the built-in\n"
         "                     static/churn/trace cell bodies — custom-\n"
         "                     bodied presets like fig4 bypass it)\n"

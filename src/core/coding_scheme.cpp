@@ -59,6 +59,16 @@ const Matrix& CodingScheme::coding_matrix() const {
   return dense_view_;
 }
 
+void CodingScheme::set_decode_gate(DecodeGate gate) {
+  HGC_REQUIRE(gate.trigger_of.empty() ||
+                  gate.trigger_of.size() == num_workers(),
+              "decode gate needs one trigger slot per worker");
+  for (std::uint32_t t : gate.trigger_of)
+    HGC_REQUIRE(t == DecodeGate::kNoTrigger || t < gate.trigger_need.size(),
+                "decode gate trigger out of range");
+  decode_gate_ = std::move(gate);
+}
+
 std::optional<Vector> CodingScheme::generic_decode(
     const std::vector<bool>& received) const {
   // One workspace per thread: the sweep runtime's worker threads each warm

@@ -14,6 +14,8 @@
 // it materializes lazily on first request and never on the scale path.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -25,6 +27,28 @@
 #include "linalg/workspace.hpp"
 
 namespace hgc {
+
+/// Necessary conditions for decoding_coefficients to succeed, precomputed
+/// once per scheme so a DecodeSession can test them in O(1) per arrival
+/// instead of re-polling the O(m) canonical decode. The canonical decode can
+/// only succeed once at least `count_need` results arrived in total, or once
+/// some trigger's members delivered `trigger_need` of its results. Both
+/// conditions are monotone in the received set, so a session that has seen
+/// one hold may keep polling without re-checking it.
+///
+/// The default gate (no triggers, count_need = 0) never holds a decode back;
+/// min_results_required stays the only skip rule for such schemes.
+struct DecodeGate {
+  static constexpr std::uint32_t kNoTrigger =
+      std::numeric_limits<std::uint32_t>::max();
+  /// Per worker: the trigger its arrival counts toward, or kNoTrigger.
+  /// Empty when the scheme has no triggers.
+  std::vector<std::uint32_t> trigger_of;
+  /// Per trigger: member arrivals after which the decode may succeed.
+  std::vector<std::size_t> trigger_need;
+  /// Total arrivals after which the decode may succeed regardless.
+  std::size_t count_need = 0;
+};
 
 /// Base class for all gradient coding strategies.
 class CodingScheme {
@@ -72,6 +96,9 @@ class CodingScheme {
     return num_workers() - s_;
   }
 
+  /// The arrival conditions gating decoding_coefficients; see DecodeGate.
+  const DecodeGate& decode_gate() const { return decode_gate_; }
+
  protected:
   /// Derived constructors hand over the finished matrix and assignment;
   /// the support of B must equal the assignment exactly (checked in
@@ -98,10 +125,16 @@ class CodingScheme {
   std::optional<Vector> generic_decode(const std::vector<bool>& received,
                                        SolveWorkspace& ws) const;
 
+  /// Derived constructors whose decode has structural preconditions install
+  /// them here; every condition must be necessary for decoding_coefficients
+  /// to return a value, or sessions would miss decodable arrivals.
+  void set_decode_gate(DecodeGate gate);
+
  private:
   SparseRowMatrix coding_matrix_;
   Assignment assignment_;
   std::size_t s_;
+  DecodeGate decode_gate_;
   // Lazily materialized dense view; guarded so concurrent sweep threads
   // sharing one scheme race-free. Logically const — a pure function of
   // coding_matrix_.

@@ -1,5 +1,7 @@
 #include "core/decoder.hpp"
 
+#include <algorithm>
+
 #include "core/robustness.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -7,11 +9,6 @@
 #include "util/stopwatch.hpp"
 
 namespace hgc {
-namespace {
-// Mirrors coding_scheme.cpp's bound: a least-squares residual below this
-// certifies 1 ∈ rowspan(B_R), here read off the incremental factorization.
-constexpr double kDecodeResidualTolerance = 1e-8;
-}  // namespace
 
 std::optional<Vector> solve_decoding_coefficients(
     const CodingScheme& scheme, const std::vector<bool>& received) {
@@ -63,90 +60,94 @@ std::vector<DecodingRow> build_decoding_matrix(const CodingScheme& scheme) {
   return rows;
 }
 
-StreamingDecoder::StreamingDecoder(const CodingScheme& scheme,
-                                   DecodingCache* cache,
-                                   DecodeStrategy strategy)
+DecodeSession::DecodeSession(const CodingScheme& scheme, DecodingCache* cache)
     : scheme_(scheme),
+      gate_(scheme.decode_gate()),
       cache_(cache),
-      strategy_(strategy),
-      received_(scheme.num_workers(), false),
-      coded_(scheme.num_workers()) {
+      min_required_(scheme.min_results_required()),
+      received_(scheme.num_workers(), false) {
   HGC_REQUIRE(!cache_ || &cache_->scheme() == &scheme_,
               "decoding cache must wrap the decoder's scheme");
-  HGC_REQUIRE(!cache_ || strategy_ == DecodeStrategy::kCanonical,
-              "a decoding cache and the incremental strategy are exclusive");
-  if (strategy_ == DecodeStrategy::kIncremental) {
-    const Vector ones(scheme_.num_partitions(), 1.0);
-    iqr_.reset(ones);
-  }
+  reset();
 }
 
-bool StreamingDecoder::add_result(WorkerId w, Vector coded_gradient) {
+void DecodeSession::reset() {
+  std::fill(received_.begin(), received_.end(), false);
+  missing_ = gate_.trigger_need;
+  arrivals_ = 0;
+  gate_open_ = gate_.count_need == 0 ||
+               std::find(missing_.begin(), missing_.end(), 0) != missing_.end();
+  coefficients_.reset();
+}
+
+bool DecodeSession::on_arrival(WorkerId w) {
   HGC_REQUIRE(w < received_.size(), "worker id out of range");
   HGC_REQUIRE(!received_[w], "duplicate result from worker");
   received_[w] = true;
-  coded_[w] = std::move(coded_gradient);
-  ++received_count_;
+  ++arrivals_;
   if (coefficients_) return false;  // already decodable, extra result unused
-  if (strategy_ == DecodeStrategy::kIncremental) {
-    // Fold worker w's B row into the factorization even before enough
-    // results arrived — that is the whole point: per-arrival cost stays
-    // O(k·rank) and the decodability test below is a free residual read.
-    const SparseRowMatrix& b = scheme_.sparse_matrix();
-    iqr_.append_scattered(b.row_cols(w), b.row_values(w));
-    arrival_order_.push_back(w);
-    if (received_count_ < scheme_.min_results_required()) return false;
-    return try_decode_incremental();
+  if (!gate_open_) {
+    // The gate's conditions are monotone: once open it stays open, and the
+    // counters behind it are no longer needed this round.
+    if (arrivals_ >= gate_.count_need) {
+      gate_open_ = true;
+    } else if (!gate_.trigger_of.empty()) {
+      const std::uint32_t t = gate_.trigger_of[w];
+      if (t != DecodeGate::kNoTrigger && --missing_[t] == 0) gate_open_ = true;
+    }
   }
-  if (received_count_ < scheme_.min_results_required()) return false;
+  if (!gate_open_ || arrivals_ < min_required_) return false;
+  return decode();
+}
+
+bool DecodeSession::finish() {
+  if (!coefficients_ && gate_open_ && arrivals_ > 0 &&
+      arrivals_ < min_required_)
+    decode();
+  return ready();
+}
+
+bool DecodeSession::decode() {
   coefficients_ = cache_ ? cache_->decode(received_)
                          : solve_decoding_coefficients(scheme_, received_);
   return coefficients_.has_value();
 }
 
-bool StreamingDecoder::try_decode_incremental() {
-  if (iqr_.residual_norm() > kDecodeResidualTolerance) return false;
-  Vector x;
-  iqr_.solve_into(x);
-  Vector coefficients(scheme_.num_workers(), 0.0);
-  for (std::size_t i = 0; i < arrival_order_.size(); ++i)
-    coefficients[arrival_order_[i]] = x[i];
-  coefficients_ = std::move(coefficients);
-  return true;
-}
-
-Vector StreamingDecoder::aggregate() const {
-  if (!coefficients_)
-    throw DecodeError("aggregate requested before the code is decodable");
-  return combine_coded_gradients(*coefficients_, coded_);
-}
-
-const Vector& StreamingDecoder::coefficients() const {
+const Vector& DecodeSession::coefficients() const {
   if (!coefficients_)
     throw DecodeError("coefficients requested before the code is decodable");
   return *coefficients_;
 }
 
+StreamingDecoder::StreamingDecoder(const CodingScheme& scheme,
+                                   DecodingCache* cache)
+    : session_(scheme, cache), coded_(scheme.num_workers()) {}
+
+bool StreamingDecoder::add_result(WorkerId w, Vector coded_gradient) {
+  const bool decoded = session_.on_arrival(w);
+  coded_[w] = std::move(coded_gradient);
+  return decoded;
+}
+
+Vector StreamingDecoder::aggregate() const {
+  if (!ready())
+    throw DecodeError("aggregate requested before the code is decodable");
+  return combine_coded_gradients(session_.coefficients(), coded_);
+}
+
 std::vector<WorkerId> StreamingDecoder::unused_workers() const {
+  const std::vector<bool>& received = session_.received();
   std::vector<WorkerId> unused;
-  for (std::size_t w = 0; w < received_.size(); ++w) {
-    const bool used =
-        coefficients_ && (*coefficients_)[w] != 0.0;
-    if (received_[w] && !used) unused.push_back(w);
+  for (std::size_t w = 0; w < received.size(); ++w) {
+    const bool used = ready() && session_.coefficients()[w] != 0.0;
+    if (received[w] && !used) unused.push_back(w);
   }
   return unused;
 }
 
 void StreamingDecoder::reset() {
-  std::fill(received_.begin(), received_.end(), false);
+  session_.reset();
   for (auto& v : coded_) v.clear();
-  received_count_ = 0;
-  coefficients_.reset();
-  if (strategy_ == DecodeStrategy::kIncremental) {
-    arrival_order_.clear();
-    const Vector ones(scheme_.num_partitions(), 1.0);
-    iqr_.reset(ones);
-  }
 }
 
 }  // namespace hgc

@@ -2,9 +2,10 @@
 //
 // The paper stores the decoding matrix A ∈ R^{S×m} (one row per straggler
 // pattern, S = C(m, s)) for "regular" patterns and solves irregular ones in
-// real time. StreamingDecoder is that real-time path packaged for the
-// simulator and the threaded runtime: feed results as they arrive, ask
-// whether the aggregate is ready.
+// real time. DecodeSession is that real-time path: feed arrivals, and it
+// decodes at the first sufficient one while doing O(1) work per arrival
+// before then. StreamingDecoder wraps a session with the coded payloads for
+// the engine's master and the threaded runtime.
 #pragma once
 
 #include <optional>
@@ -13,24 +14,8 @@
 #include "core/coding_scheme.hpp"
 #include "core/decoding_cache.hpp"
 #include "core/types.hpp"
-#include "linalg/incremental_qr.hpp"
 
 namespace hgc {
-
-/// How StreamingDecoder tests decodability as results arrive.
-enum class DecodeStrategy {
-  /// Re-solve the prefix through the scheme's canonical decode (fast paths
-  /// + pivoted least squares). This is the byte-identity reference path —
-  /// every CSV the repo pins flows through it.
-  kCanonical,
-  /// Maintain an append-only QR of (B_R)ᵀ across arrivals: O(k·n) per
-  /// arrival instead of a fresh O(k·n²) factorization per prefix check.
-  /// Produces valid coefficients (a·B = 1 within the decode tolerance) but
-  /// NOT necessarily the canonical bytes — the unpivoted incremental
-  /// factorization may pick a different basic solution. Opt-in, and
-  /// incompatible with a DecodingCache (the cache stores canonical rows).
-  kIncremental,
-};
 
 /// One row of the decoding matrix: the straggler pattern it serves and the
 /// worker coefficients that recover the gradient under that pattern.
@@ -53,32 +38,77 @@ std::vector<DecodingRow> build_decoding_matrix(const CodingScheme& scheme);
 std::optional<Vector> solve_decoding_coefficients(
     const CodingScheme& scheme, const std::vector<bool>& received);
 
-/// Incremental master-side decoder. Results are added in arrival order; the
-/// decoder re-checks decodability per arrival (skipping checks that cannot
-/// succeed yet) and caches the coefficients once found.
+/// One round of arrival-driven decoding: the single path every arrival loop
+/// (the engine's master, the robustness enumeration, the layer-wise
+/// simulator) feeds its arrivals through. Each arrival updates the scheme's
+/// DecodeGate counters in O(1); the canonical decode (or the DecodingCache
+/// wrapping it) runs only once the gate holds and min_results_required
+/// results arrived. Skipped arrivals are exactly those at which the
+/// canonical decode would have returned nullopt, so the first decodable
+/// arrival and its coefficients are the canonical ones, bit for bit.
+class DecodeSession {
+ public:
+  /// `cache`, when non-null, must wrap the same scheme instance. It may be
+  /// shared across rounds but not across threads.
+  explicit DecodeSession(const CodingScheme& scheme,
+                         DecodingCache* cache = nullptr);
+
+  /// Record worker w's arrival. Returns true if the received set became
+  /// decodable with it; arrivals after that are recorded but never decoded.
+  bool on_arrival(WorkerId w);
+
+  /// No further arrivals will come this round. When min_results_required
+  /// held back a decode the gate allowed (it can exceed the survivor
+  /// count), try the full received set once. Returns ready().
+  bool finish();
+
+  bool ready() const { return coefficients_.has_value(); }
+  std::size_t arrivals() const { return arrivals_; }
+  const std::vector<bool>& received() const { return received_; }
+
+  /// Coefficients of the decode. Throws DecodeError if !ready().
+  const Vector& coefficients() const;
+
+  /// Start the next round against the same scheme (and cache).
+  void reset();
+
+ private:
+  bool decode();
+
+  const CodingScheme& scheme_;
+  const DecodeGate& gate_;
+  DecodingCache* cache_;
+  std::size_t min_required_;
+  std::vector<bool> received_;
+  std::vector<std::size_t> missing_;  // per trigger: arrivals still needed
+  std::size_t arrivals_ = 0;
+  bool gate_open_ = false;
+  std::optional<Vector> coefficients_;
+};
+
+/// Master-side decoder: a DecodeSession that also keeps the coded results,
+/// so the decoded aggregate can be formed once the session is ready.
 class StreamingDecoder {
  public:
-  /// `cache`, when non-null, must wrap the same scheme instance; decodability
-  /// checks then go through its LRU (the paper's "regular stragglers"
-  /// optimization) instead of re-solving per arrival. The cache may be
-  /// shared across iterations but not across threads. A cache and
-  /// DecodeStrategy::kIncremental are mutually exclusive.
+  /// `cache`, when non-null, must wrap the same scheme instance; decodes
+  /// then go through its LRU (the paper's "regular stragglers"
+  /// optimization). The cache may be shared across iterations but not
+  /// across threads.
   explicit StreamingDecoder(const CodingScheme& scheme,
-                            DecodingCache* cache = nullptr,
-                            DecodeStrategy strategy = DecodeStrategy::kCanonical);
+                            DecodingCache* cache = nullptr);
 
   /// Record worker w's coded gradient. Returns true if the aggregate became
   /// decodable with this arrival.
   bool add_result(WorkerId w, Vector coded_gradient);
 
-  bool ready() const { return coefficients_.has_value(); }
-  std::size_t results_received() const { return received_count_; }
+  bool ready() const { return session_.ready(); }
+  std::size_t results_received() const { return session_.arrivals(); }
 
   /// The decoded aggregate Σ g_j. Throws DecodeError if !ready().
   Vector aggregate() const;
 
   /// Coefficients used for the decode (for inspection/tests).
-  const Vector& coefficients() const;
+  const Vector& coefficients() const { return session_.coefficients(); }
 
   /// Workers whose results ended up unused (coefficient 0 despite arriving);
   /// feeds the resource-usage metric of Fig. 5.
@@ -88,19 +118,8 @@ class StreamingDecoder {
   void reset();
 
  private:
-  bool try_decode_incremental();
-
-  const CodingScheme& scheme_;
-  DecodingCache* cache_;
-  DecodeStrategy strategy_;
-  std::vector<bool> received_;
+  DecodeSession session_;
   std::vector<Vector> coded_;
-  std::size_t received_count_ = 0;
-  std::optional<Vector> coefficients_;
-  // kIncremental state: the growing factorization of (B_R)ᵀ plus the
-  // arrival order its columns were appended in.
-  IncrementalQr iqr_;
-  std::vector<WorkerId> arrival_order_;
 };
 
 }  // namespace hgc

@@ -27,8 +27,10 @@ class DecodingCache {
   explicit DecodingCache(const CodingScheme& scheme,
                          std::size_t capacity = 256);
 
-  /// Cached or freshly-solved coefficients; nullopt results (undecodable
-  /// sets) are also cached so repeated early probes stay cheap.
+  /// Cached or freshly-solved coefficients. Nullopt results (undecodable
+  /// sets) are cached too; a DecodeSession asks only once its gate admits
+  /// the received set, so those are rare (faulted or zero-load workers
+  /// counted toward a bound, or a numerically degenerate sub-code).
   std::optional<Vector> decode(const std::vector<bool>& received);
 
   /// The scheme this cache solves for; callers wiring the cache into a

@@ -48,6 +48,9 @@ class GroupBasedScheme : public CodingScheme {
  private:
   explicit GroupBasedScheme(Build build, std::size_t s);
 
+  /// Workers holding at least one partition.
+  std::size_t active_workers() const;
+
   std::vector<Group> groups_;
   Alg1Code sub_code_;
 };

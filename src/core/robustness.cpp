@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/decoder.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
@@ -87,13 +88,6 @@ std::optional<double> completion_time(const CodingScheme& scheme,
                                       DecodingCache* cache) {
   const std::size_t m = scheme.num_workers();
   HGC_REQUIRE(c.size() == m, "one throughput per worker");
-  HGC_REQUIRE(!cache || &cache->scheme() == &scheme,
-              "decoding cache must wrap the queried scheme");
-  const auto decodable = [&](const std::vector<bool>& received) {
-    return cache ? cache->decode(received).has_value()
-                 : scheme.decoding_coefficients(received).has_value();
-  };
-
   std::vector<bool> is_straggler(m, false);
   for (WorkerId w : stragglers) {
     HGC_REQUIRE(w < m, "straggler id out of range");
@@ -110,22 +104,12 @@ std::optional<double> completion_time(const CodingScheme& scheme,
   }
   std::sort(arrivals.begin(), arrivals.end());
 
-  std::vector<bool> received(m, false);
-  std::size_t count = 0;
-  bool tried_full_set = false;
-  for (const auto& [time, w] : arrivals) {
-    received[w] = true;
-    ++count;
-    if (count < scheme.min_results_required()) continue;
-    if (count == arrivals.size()) tried_full_set = true;
-    if (decodable(received)) return time;
-  }
-  // Tail case: min_results_required can exceed the survivor count, so try
-  // one final decode with everything received — unless the loop's last
-  // attempt already was the full set, in which case re-solving the identical
-  // system would only confirm the failure.
-  if (!arrivals.empty() && !tried_full_set && decodable(received))
-    return arrivals.back().first;
+  DecodeSession session(scheme, cache);
+  for (const auto& [time, w] : arrivals)
+    if (session.on_arrival(w)) return time;
+  // Tail case: min_results_required can exceed the survivor count, so the
+  // session tries the full received set once more when nothing else did.
+  if (session.finish()) return arrivals.back().first;
   return std::nullopt;
 }
 

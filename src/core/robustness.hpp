@@ -145,9 +145,11 @@ bool sample_straggler_patterns(std::size_t m, std::size_t s,
 /// (Section III-C): the master takes results in the order of worker finish
 /// times t_i = ||b_i||_0 / c_i, skipping stragglers, and stops at the first
 /// decodable prefix. Returns the stop time, or nullopt if the survivors
-/// cannot decode at all. `cache`, when non-null, must wrap `scheme`; prefix
-/// decodability checks then hit its LRU, which pays off when the same
-/// arrival prefixes recur (repeated calls, the worst_case_time enumeration).
+/// cannot decode at all. Arrivals feed a DecodeSession, so the canonical
+/// decode runs only on prefixes the scheme's DecodeGate admits. `cache`,
+/// when non-null, must wrap `scheme`; those decodes then hit its LRU, which
+/// pays off when the same arrival prefixes recur (repeated calls, the
+/// worst_case_time enumeration).
 std::optional<double> completion_time(const CodingScheme& scheme,
                                       const Throughputs& c,
                                       const StragglerSet& stragglers,

@@ -44,11 +44,6 @@ struct RoundOptions {
   /// straggler patterns skip the O(s³) solve; not thread-safe, so parallel
   /// callers keep one per thread.
   DecodingCache* decoding_cache = nullptr;
-  /// How the master's StreamingDecoder tests prefixes. kCanonical is the
-  /// byte-identity reference; kIncremental maintains an append-only QR
-  /// across arrivals (O(k·n) per arrival) and is incompatible with
-  /// `decoding_cache`. See core/decoder.hpp.
-  DecodeStrategy decode_strategy = DecodeStrategy::kCanonical;
   /// Observability routing — never affects results. When non-zero (and the
   /// tracer is on), the round lays its master/worker timeline out on this
   /// virtual-clock track of the Chrome trace (sweep cells claim
@@ -80,8 +75,7 @@ struct RoundOutcome {
 class MasterActor : public Actor {
  public:
   MasterActor(Simulation& sim, const CodingScheme& scheme,
-              DecodingCache* decoding_cache = nullptr,
-              DecodeStrategy strategy = DecodeStrategy::kCanonical);
+              DecodingCache* decoding_cache = nullptr);
 
   /// Arm for (another) round; resets the decoder. `iteration` is the tag
   /// expected on incoming wire frames.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/decoder.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
@@ -52,6 +53,7 @@ LayerwiseResult simulate_layerwise_iteration(const CodingScheme& scheme,
   LayerwiseResult result;
   result.layer_times.assign(num_layers, 0.0);
 
+  DecodeSession session(scheme);
   double cumulative = 0.0;
   for (std::size_t layer = 0; layer < num_layers; ++layer) {
     cumulative += fractions[layer];
@@ -67,20 +69,14 @@ LayerwiseResult simulate_layerwise_iteration(const CodingScheme& scheme,
     }
     std::sort(arrivals.begin(), arrivals.end());
 
-    std::vector<bool> received(m, false);
-    std::size_t count = 0;
-    bool layer_decoded = false;
+    session.reset();
     for (const auto& [at, w] : arrivals) {
-      received[w] = true;
-      ++count;
-      if (count < scheme.min_results_required()) continue;
-      if (scheme.decoding_coefficients(received)) {
+      if (session.on_arrival(w)) {
         result.layer_times[layer] = at;
-        layer_decoded = true;
         break;
       }
     }
-    if (!layer_decoded) return result;  // decoded stays false
+    if (!session.ready()) return result;  // decoded stays false
   }
 
   result.decoded = true;

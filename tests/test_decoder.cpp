@@ -1,11 +1,18 @@
-// Tests for the decoding-matrix builder (Eq. 2) and the streaming decoder.
+// Tests for the decoding-matrix builder (Eq. 2), the arrival-driven decode
+// session and the streaming decoder built on it.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+
 #include "core/decoder.hpp"
+#include "core/decoding_cache.hpp"
 #include "core/group_based.hpp"
 #include "core/heter_aware.hpp"
 #include "core/naive.hpp"
 #include "core/robustness.hpp"
+#include "core/scheme_factory.hpp"
 #include "util/rng.hpp"
 
 namespace hgc {
@@ -218,6 +225,189 @@ TEST(StreamingDecoder, ResetClearsDuplicateTracking) {
   decoder.reset();
   // The same worker may report again in the next iteration.
   EXPECT_NO_THROW(decoder.add_result(0, Vector{1.0}));
+}
+
+// ------------------------------------------------------ decode sessions --
+
+// What a session must reproduce: the canonical decode polled on every
+// arrival past min_results_required, plus completion_time's tail probe of
+// the full received set when that bound was never reached.
+struct ReferenceDecode {
+  std::optional<std::size_t> arrival;  // index into the order; npos = tail
+  std::optional<Vector> coefficients;
+};
+
+ReferenceDecode poll_every_arrival(const CodingScheme& scheme,
+                                   const std::vector<WorkerId>& order) {
+  std::vector<bool> received(scheme.num_workers(), false);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    received[order[i]] = true;
+    if (i + 1 < scheme.min_results_required()) continue;
+    if (auto coefficients = scheme.decoding_coefficients(received))
+      return {i, std::move(coefficients)};
+  }
+  if (!order.empty() && order.size() < scheme.min_results_required())
+    if (auto coefficients = scheme.decoding_coefficients(received))
+      return {std::string::npos, std::move(coefficients)};
+  return {};
+}
+
+void expect_bit_equal(const Vector& a, const Vector& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << "coefficient " << i;
+}
+
+TEST(DecodeSession, MatchesPollingReferenceOnEveryKind) {
+  // Five kinds × two tolerances × three throughput profiles (the last one
+  // leaves its slowest workers with no data) × seeded arrival orders with
+  // up to s+1 faulted workers, with and without a shared DecodingCache.
+  const std::size_t m = 12;
+  const std::size_t k = 12;
+  const std::vector<Throughputs> profiles = {
+      Throughputs(m, 1.0),
+      {1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4},
+      {0.01, 0.02, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1}};
+  const std::vector<SchemeKind> kinds = {
+      SchemeKind::kNaive, SchemeKind::kCyclic,
+      SchemeKind::kFractionalRepetition, SchemeKind::kHeterAware,
+      SchemeKind::kGroupBased};
+  std::size_t zero_load_arrivals = 0, undecodable = 0, early_decodes = 0;
+  for (SchemeKind kind : kinds)
+    for (std::size_t s : {1u, 2u})
+      for (std::size_t p = 0; p < profiles.size(); ++p) {
+        Rng rng(1000 + 10 * s + p);
+        const auto scheme = make_scheme(kind, profiles[p], k, s, rng);
+        DecodingCache cache(*scheme);
+        for (int trial = 0; trial < 40; ++trial) {
+          SCOPED_TRACE(to_string(kind) + " s=" + std::to_string(s) +
+                       " profile=" + std::to_string(p) +
+                       " trial=" + std::to_string(trial));
+          std::vector<WorkerId> order(m);
+          for (WorkerId w = 0; w < m; ++w) order[w] = w;
+          for (std::size_t i = m - 1; i > 0; --i)
+            std::swap(order[i], order[static_cast<std::size_t>(
+                                    rng.uniform_int(0, std::int64_t(i)))]);
+          // The first `faulted` workers of the shuffle never arrive.
+          const auto faulted =
+              static_cast<std::size_t>(rng.uniform_int(0, std::int64_t(s + 1)));
+          order.erase(order.begin(), order.begin() + std::ptrdiff_t(faulted));
+          for (WorkerId w : order)
+            if (scheme->load(w) == 0) ++zero_load_arrivals;
+
+          const ReferenceDecode want = poll_every_arrival(*scheme, order);
+          if (!want.coefficients) ++undecodable;
+          if (want.arrival && *want.arrival + s + 1 < order.size())
+            ++early_decodes;
+          for (DecodingCache* c : {static_cast<DecodingCache*>(nullptr),
+                                   &cache}) {
+            DecodeSession session(*scheme, c);
+            std::optional<std::size_t> got;
+            for (std::size_t i = 0; i < order.size() && !got; ++i)
+              if (session.on_arrival(order[i])) got = i;
+            if (!got && session.finish()) got = std::string::npos;
+            ASSERT_EQ(got, want.arrival) << (c ? "cached" : "uncached");
+            ASSERT_EQ(session.ready(), want.coefficients.has_value());
+            if (want.coefficients)
+              expect_bit_equal(session.coefficients(), *want.coefficients);
+          }
+        }
+      }
+  // The generated cases must exercise every branch the gate can take.
+  EXPECT_GT(zero_load_arrivals, 0u);
+  EXPECT_GT(undecodable, 0u);
+  EXPECT_GT(early_decodes, 0u);
+}
+
+TEST(DecodeSession, ResetStartsAFreshRound) {
+  Rng rng(41);
+  GroupBasedScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
+  DecodeSession session(scheme);
+  EXPECT_FALSE(session.on_arrival(2));
+  EXPECT_TRUE(session.on_arrival(3));  // group {2,3} completes
+  session.reset();
+  EXPECT_FALSE(session.ready());
+  EXPECT_EQ(session.arrivals(), 0u);
+  // The group countdown restarted: worker 3 alone no longer decodes.
+  EXPECT_FALSE(session.on_arrival(3));
+  EXPECT_TRUE(session.on_arrival(2));
+}
+
+TEST(DecodeSession, RejectsCacheOfAnotherScheme) {
+  Rng rng(42);
+  HeterAwareScheme scheme({1, 2, 3, 4, 4}, 7, 1, rng);
+  HeterAwareScheme other({1, 2, 3, 4, 4}, 7, 1, rng);
+  DecodingCache foreign(other);
+  EXPECT_THROW(DecodeSession(scheme, &foreign), std::invalid_argument);
+}
+
+// Forwards to an inner scheme — including its DecodeGate, so sessions gate
+// exactly as they would on the inner scheme — and counts canonical calls.
+class GateForwardingCounter : public CodingScheme {
+ public:
+  explicit GateForwardingCounter(const CodingScheme& inner)
+      : CodingScheme(SparseRowMatrix(inner.sparse_matrix()),
+                     Assignment(inner.assignment()),
+                     inner.stragglers_tolerated()),
+        inner_(inner) {
+    set_decode_gate(inner.decode_gate());
+  }
+
+  std::string name() const override { return "counting"; }
+
+  std::optional<Vector> decoding_coefficients(
+      const std::vector<bool>& received) const override {
+    ++calls;
+    return inner_.decoding_coefficients(received);
+  }
+
+  std::size_t min_results_required() const override {
+    return inner_.min_results_required();
+  }
+
+  mutable std::size_t calls = 0;
+
+ private:
+  const CodingScheme& inner_;
+};
+
+TEST(DecodeSession, GroupSchemeAtScaleMakesAtMostSPlusTwoCanonicalCalls) {
+  // Polling the canonical decode on every arrival past the smallest group
+  // costs O(m) per arrival, O(m²) per round. The session must hold a
+  // 2000-worker round to a handful of canonical calls: with at most s
+  // faulted workers, one call on the arrival its gate opens, plus at most
+  // one per arrival that cannot help (a faulted or zero-load slot).
+  const std::size_t m = 2000;
+  const std::size_t s = 2;
+  Rng rng(2000);
+  Throughputs c(m);
+  for (double& v : c) v = rng.uniform(1.0, 4.0);
+  const GroupBasedScheme inner(c, m, s, rng);
+  const GateForwardingCounter scheme(inner);
+  ASSERT_LT(inner.min_results_required(), m / 2)
+      << "the grid must leave room for polling to blow up";
+
+  StreamingDecoder decoder(scheme);
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<WorkerId> order;
+    for (WorkerId w = 0; w < m; ++w)
+      if (scheme.load(w) > 0) order.push_back(w);
+    for (std::size_t i = order.size() - 1; i > 0; --i)
+      std::swap(order[i], order[static_cast<std::size_t>(
+                              rng.uniform_int(0, std::int64_t(i)))]);
+    order.resize(order.size() - static_cast<std::size_t>(round % (s + 1)));
+
+    decoder.reset();
+    scheme.calls = 0;
+    for (WorkerId w : order)
+      if (decoder.add_result(w, {})) break;
+    EXPECT_TRUE(decoder.ready());
+    EXPECT_LE(scheme.calls, s + 2);
+    EXPECT_GE(scheme.calls, 1u);
+  }
 }
 
 TEST(OnesInRowSpan, BasicGeometry) {
