@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "util/error.hpp"
@@ -36,20 +35,34 @@ std::vector<std::size_t> proportional_counts(std::span<const double> weights,
 
   // Hand out the remainder one unit at a time to the worker with the largest
   // unmet ideal share that still has cap headroom. Ties resolve to the lower
-  // index, keeping the function deterministic.
+  // index, keeping the function deterministic. A max-heap keyed on
+  // (deficit, lower index first) makes each step O(log m); a worker leaves
+  // the heap once it reaches the cap.
+  struct Candidate {
+    double deficit;
+    std::size_t worker;
+  };
+  const auto ranks_below = [](const Candidate& a, const Candidate& b) {
+    return a.deficit < b.deficit ||
+           (a.deficit == b.deficit && a.worker > b.worker);
+  };
+  std::vector<Candidate> heap;
+  heap.reserve(m);
+  for (std::size_t i = 0; i < m; ++i)
+    if (counts[i] < cap)
+      heap.push_back({ideal[i] - static_cast<double>(counts[i]), i});
+  std::make_heap(heap.begin(), heap.end(), ranks_below);
   for (std::size_t left = total - assigned; left > 0; --left) {
-    std::size_t best = m;  // sentinel: none found yet
-    double best_deficit = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < m; ++i) {
-      if (counts[i] >= cap) continue;
-      const double deficit = ideal[i] - static_cast<double>(counts[i]);
-      if (deficit > best_deficit) {
-        best_deficit = deficit;
-        best = i;
-      }
-    }
-    HGC_ASSERT(best < m, "no worker with cap headroom left");
+    HGC_ASSERT(!heap.empty(), "no worker with cap headroom left");
+    std::pop_heap(heap.begin(), heap.end(), ranks_below);
+    const std::size_t best = heap.back().worker;
     ++counts[best];
+    if (counts[best] < cap) {
+      heap.back().deficit = ideal[best] - static_cast<double>(counts[best]);
+      std::push_heap(heap.begin(), heap.end(), ranks_below);
+    } else {
+      heap.pop_back();
+    }
   }
   return counts;
 }

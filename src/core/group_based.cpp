@@ -74,7 +74,10 @@ GroupBasedScheme::Build make_build(const Throughputs& c, std::size_t k,
 GroupBasedScheme::GroupBasedScheme(Build build, std::size_t s)
     : CodingScheme(std::move(build.b), std::move(build.assignment), s),
       groups_(std::move(build.groups)),
-      sub_code_(std::move(build.sub_code)) {
+      sub_code_(std::move(build.sub_code)),
+      active_workers_(static_cast<std::size_t>(std::count_if(
+          assignment().begin(), assignment().end(),
+          [](const auto& partitions) { return !partitions.empty(); }))) {
   // One trigger per decode path of decoding_coefficients: each group fires
   // once all its workers arrived (Eq. 8), the sub-code once at most s' of
   // its workers are missing, and the arrival count once it reaches the
@@ -92,7 +95,7 @@ GroupBasedScheme::GroupBasedScheme(Build build, std::size_t s)
     gate.trigger_need.push_back(sub_code_.workers().size() -
                                 sub_code_.stragglers_tolerated());
   }
-  gate.count_need = active_workers() - stragglers_tolerated();
+  gate.count_need = active_workers_ - stragglers_tolerated();
   set_decode_gate(std::move(gate));
 }
 
@@ -125,16 +128,9 @@ std::optional<Vector> GroupBasedScheme::decoding_coefficients(
   // (3) Mixed combinations: only worth a least-squares solve once at least
   // (active − s) results arrived — the point at which Theorem 6 guarantees
   // decodability.
-  if (count_received(received) >= active_workers() - stragglers_tolerated())
+  if (count_received(received) >= active_workers_ - stragglers_tolerated())
     return generic_decode(received);
   return std::nullopt;
-}
-
-std::size_t GroupBasedScheme::active_workers() const {
-  std::size_t active = 0;
-  for (const auto& partitions : assignment())
-    if (!partitions.empty()) ++active;
-  return active;
 }
 
 std::size_t GroupBasedScheme::min_results_required() const {

@@ -22,7 +22,7 @@ namespace hgc {
 class GroupBasedScheme : public CodingScheme {
  public:
   /// Build from throughput estimates. `limits` bounds the exact-cover
-  /// search; defaults are generous for the allocator's cyclic supports.
+  /// search; the default max_groups binds at 10k workers (core/groups.hpp).
   GroupBasedScheme(const Throughputs& c, std::size_t k, std::size_t s,
                    Rng& rng, const GroupSearchLimits& limits = {});
 
@@ -48,11 +48,9 @@ class GroupBasedScheme : public CodingScheme {
  private:
   explicit GroupBasedScheme(Build build, std::size_t s);
 
-  /// Workers holding at least one partition.
-  std::size_t active_workers() const;
-
   std::vector<Group> groups_;
   Alg1Code sub_code_;
+  std::size_t active_workers_;  ///< workers holding at least one partition
 };
 
 }  // namespace hgc

@@ -3,58 +3,51 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <numeric>
 
 #include "util/error.hpp"
 
 namespace hgc {
 namespace {
 
-/// Fixed-size bitset over k partitions backed by 64-bit words.
-class PartitionMask {
+/// Fixed-size bitset backed by 64-bit words: the uncovered partitions
+/// during the search, a group's member workers when ordering the result.
+class BitSet {
  public:
-  explicit PartitionMask(std::size_t bits)
+  explicit BitSet(std::size_t bits)
       : bits_(bits), words_((bits + 63) / 64, 0) {}
 
   void set(std::size_t i) { words_[i / 64] |= std::uint64_t{1} << (i % 64); }
+  void clear(std::size_t i) {
+    words_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+  }
+  bool test(std::size_t i) const { return (words_[i / 64] >> (i % 64)) & 1; }
 
-  bool any_overlap(const PartitionMask& other) const {
+  /// Index of the lowest set bit at or above `from`; bits_ if none.
+  std::size_t lowest_from(std::size_t from) const {
+    std::size_t w = from / 64;
+    if (w >= words_.size()) return bits_;
+    std::uint64_t word = words_[w] & (~std::uint64_t{0} << (from % 64));
+    while (word == 0) {
+      if (++w == words_.size()) return bits_;
+      word = words_[w];
+    }
+    return w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+  }
+
+  /// Calls f(i) for every set index i, in ascending order.
+  template <class F>
+  void for_each_set(F&& f) const {
     for (std::size_t w = 0; w < words_.size(); ++w)
-      if (words_[w] & other.words_[w]) return true;
-    return false;
+      for (std::uint64_t word = words_[w]; word != 0; word &= word - 1)
+        f(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
   }
 
-  bool is_subset_of(const PartitionMask& other) const {
+  /// Lowest index set in exactly one of the two sets; bits_ if they match.
+  std::size_t lowest_difference(const BitSet& other) const {
     for (std::size_t w = 0; w < words_.size(); ++w)
-      if (words_[w] & ~other.words_[w]) return false;
-    return true;
-  }
-
-  bool test(std::size_t i) const {
-    return (words_[i / 64] >> (i % 64)) & 1;
-  }
-
-  void add(const PartitionMask& other) {
-    for (std::size_t w = 0; w < words_.size(); ++w)
-      words_[w] |= other.words_[w];
-  }
-
-  void remove(const PartitionMask& other) {
-    for (std::size_t w = 0; w < words_.size(); ++w)
-      words_[w] &= ~other.words_[w];
-  }
-
-  bool empty() const {
-    for (std::uint64_t w : words_)
-      if (w) return false;
-    return true;
-  }
-
-  /// Index of the lowest set bit; bits_ if none.
-  std::size_t lowest() const {
-    for (std::size_t w = 0; w < words_.size(); ++w)
-      if (words_[w])
-        return w * 64 +
-               static_cast<std::size_t>(std::countr_zero(words_[w]));
+      if (const std::uint64_t diff = words_[w] ^ other.words_[w])
+        return w * 64 + static_cast<std::size_t>(std::countr_zero(diff));
     return bits_;
   }
 
@@ -63,35 +56,45 @@ class PartitionMask {
   std::vector<std::uint64_t> words_;
 };
 
+/// Exact-cover DFS over one `remaining` bitset. Each step walks only the
+/// chosen worker's partition list, so a node costs O(|holders| · |support|)
+/// plus the scan for the next uncovered partition, which resumes at the
+/// parent's: `remaining` only shrinks with depth.
 struct GroupSearch {
-  const std::vector<PartitionMask>& worker_masks;
+  const Assignment& assignment;
   const std::vector<std::vector<WorkerId>>& holders;
   const GroupSearchLimits& limits;
   std::vector<Group>& out;
+  BitSet remaining;
+  Group chosen{};
   std::size_t nodes = 0;
 
   bool exhausted() const {
     return out.size() >= limits.max_groups || nodes >= limits.max_nodes;
   }
 
-  void dfs(PartitionMask& remaining, Group& chosen) {
+  bool fits(WorkerId w) const {
+    return std::all_of(assignment[w].begin(), assignment[w].end(),
+                       [&](PartitionId p) { return remaining.test(p); });
+  }
+
+  void dfs(std::size_t from) {
     if (exhausted()) return;
     ++nodes;
-    if (remaining.empty()) {
+    const std::size_t lowest = remaining.lowest_from(from);
+    if (lowest == holders.size()) {
       // All partitions covered: `chosen` is an exact cover.
       out.push_back(chosen);
       return;
     }
-    const std::size_t lowest = remaining.lowest();
     // Branch on the lowest uncovered partition: exactly one worker in any
     // cover supplies it, so every cover is enumerated exactly once.
     for (WorkerId w : holders[lowest]) {
-      const PartitionMask& mask = worker_masks[w];
-      if (!mask.is_subset_of(remaining)) continue;
+      if (!fits(w)) continue;
       chosen.push_back(w);
-      remaining.remove(mask);
-      dfs(remaining, chosen);
-      remaining.add(mask);
+      for (PartitionId p : assignment[w]) remaining.clear(p);
+      dfs(lowest);
+      for (PartitionId p : assignment[w]) remaining.set(p);
       chosen.pop_back();
       if (exhausted()) return;
     }
@@ -106,31 +109,41 @@ std::vector<Group> find_all_groups(const Assignment& assignment,
   HGC_REQUIRE(k > 0, "need at least one partition");
   const std::size_t m = assignment.size();
 
-  std::vector<PartitionMask> worker_masks;
-  worker_masks.reserve(m);
-  for (std::size_t w = 0; w < m; ++w) {
-    PartitionMask mask(k);
-    for (PartitionId p : assignment[w]) {
-      HGC_REQUIRE(p < k, "partition id out of range");
-      mask.set(p);
-    }
-    worker_masks.push_back(std::move(mask));
-  }
-
   std::vector<std::vector<WorkerId>> holders(k);
   for (std::size_t w = 0; w < m; ++w)
-    for (PartitionId p : assignment[w]) holders[p].push_back(w);
+    for (PartitionId p : assignment[w]) {
+      HGC_REQUIRE(p < k, "partition id out of range");
+      holders[p].push_back(w);
+    }
 
   std::vector<Group> groups;
-  PartitionMask remaining(k);
-  for (std::size_t p = 0; p < k; ++p) remaining.set(p);
-  Group chosen;
-  GroupSearch search{worker_masks, holders, limits, groups};
-  search.dfs(remaining, chosen);
+  GroupSearch search{assignment, holders, limits, groups, BitSet(k)};
+  for (std::size_t p = 0; p < k; ++p) search.remaining.set(p);
+  search.dfs(0);
 
-  for (Group& g : groups) std::sort(g.begin(), g.end());
-  std::sort(groups.begin(), groups.end());
-  return groups;
+  // Canonical order: each group ascending, the groups lexicographic. At
+  // scale the covers run to thousands of workers and share long prefixes,
+  // so both sorts go through one m-bit member set per group: a group is read
+  // back ascending from its set, and two groups compare at their lowest
+  // differing worker, 64 workers per step. Below that worker x they agree,
+  // so the group holding x is the smaller unless the other ends before x.
+  std::vector<BitSet> members(groups.size(), BitSet(m));
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (WorkerId w : groups[g]) members[g].set(w);
+    std::size_t i = 0;
+    members[g].for_each_set([&](std::size_t w) { groups[g][i++] = w; });
+  }
+  std::vector<std::size_t> order(groups.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const std::size_t x = members[a].lowest_difference(members[b]);
+    if (x == m) return false;
+    return members[a].test(x) ? groups[b].back() > x : groups[a].back() < x;
+  });
+  std::vector<Group> sorted;
+  sorted.reserve(groups.size());
+  for (std::size_t g : order) sorted.push_back(std::move(groups[g]));
+  return sorted;
 }
 
 std::vector<Group> prune_groups(std::vector<Group> groups) {
@@ -147,31 +160,44 @@ std::vector<Group> prune_groups(std::vector<Group> groups) {
     return false;
   };
 
-  while (true) {
-    const std::size_t n = groups.size();
-    std::vector<std::size_t> conflicts(n, 0);
-    bool any = false;
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = i + 1; j < n; ++j)
-        if (intersects(groups[i], groups[j])) {
-          ++conflicts[i];
-          ++conflicts[j];
-          any = true;
-        }
-    if (!any) break;
+  // The conflict graph is built once, one row of n bits per group. A
+  // removal only decrements the victim's live neighbours, so the pairwise
+  // tests are not repeated per removal.
+  const std::size_t n = groups.size();
+  std::vector<BitSet> conflicts_with(n, BitSet(n));
+  std::vector<std::size_t> conflicts(n, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      if (intersects(groups[i], groups[j])) {
+        conflicts_with[i].set(j);
+        conflicts_with[j].set(i);
+        ++conflicts[i];
+        ++conflicts[j];
+      }
+  BitSet alive(n);
+  for (std::size_t i = 0; i < n; ++i) alive.set(i);
 
+  while (true) {
     // Remove the group with the most conflicts; break ties toward the larger
     // group (harder to complete at runtime), then the later index.
-    std::size_t victim = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (conflicts[i] > conflicts[victim] ||
+    std::size_t victim = n;
+    alive.for_each_set([&](std::size_t i) {
+      if (victim == n || conflicts[i] > conflicts[victim] ||
           (conflicts[i] == conflicts[victim] &&
            groups[i].size() >= groups[victim].size()))
         victim = i;
-    }
-    groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(victim));
+    });
+    if (victim == n || conflicts[victim] == 0) break;
+    alive.clear(victim);
+    conflicts_with[victim].for_each_set([&](std::size_t j) {
+      if (alive.test(j)) --conflicts[j];
+    });
   }
-  return groups;
+
+  std::vector<Group> kept;
+  alive.for_each_set(
+      [&](std::size_t i) { kept.push_back(std::move(groups[i])); });
+  return kept;
 }
 
 bool is_exact_cover(const Assignment& assignment, std::size_t k,

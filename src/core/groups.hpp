@@ -11,8 +11,14 @@
 // FindAllGroups is an exact-cover enumeration (Algorithm-X branching rule:
 // always extend on the lowest-index uncovered partition, so each cover is
 // produced exactly once). Exact cover is NP-complete in general, so the
-// search carries node/solution caps; on the contiguous cyclic supports the
-// heterogeneity-aware allocator emits, the caps are never approached.
+// search carries node/solution caps, and they do bind on the allocator's
+// contiguous cyclic supports at scale: on the 10,000-worker scale cluster
+// (k = 20,000, s = 2) the search stops at max_groups = 256 covers, and
+// pruning keeps one of them.
+// A search node costs O(Σ_{w ∈ holders(p)} |support(w)|) for the branching
+// partition p — the fit test and the remove/restore walk only the candidate
+// worker's partitions — plus the scan for the next uncovered partition,
+// which resumes where the parent's stopped.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +47,8 @@ std::vector<Group> find_all_groups(const Assignment& assignment,
 /// Condition ⋆⋆: drop groups until the survivors are pairwise
 /// worker-disjoint. Greedy rule from the paper: repeatedly remove the group
 /// that intersects the most others (ties: the larger group, then the later
-/// one), so small easily-completed groups survive.
+/// one), so small easily-completed groups survive. The pairwise conflicts
+/// are computed once; each removal then costs O(n).
 std::vector<Group> prune_groups(std::vector<Group> groups);
 
 /// True iff `group` exactly partitions the k partitions (condition ⋆).

@@ -2,6 +2,9 @@
 // rounding invariants and cyclic-assignment replication guarantees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "core/allocation.hpp"
@@ -70,6 +73,108 @@ TEST(ProportionalCounts, RejectsAllZeroWeights) {
 TEST(ProportionalCounts, RejectsNegativeWeight) {
   const std::vector<double> w = {1.0, -0.5};
   EXPECT_THROW(proportional_counts(w, 2, 2), std::invalid_argument);
+}
+
+// Reference: the remainder loop as a linear argmax rescan per unit (strict
+// `>` over ascending indices, so ties go to the lower index). The library
+// hands out the same units through a heap; the two must agree exactly.
+std::vector<std::size_t> reference_proportional_counts(
+    std::span<const double> weights, std::size_t total, std::size_t cap) {
+  const std::size_t m = weights.size();
+  double weight_sum = 0.0;
+  for (double w : weights) weight_sum += w;
+  std::vector<double> ideal(m);
+  for (std::size_t i = 0; i < m; ++i)
+    ideal[i] = static_cast<double>(total) * weights[i] / weight_sum;
+  std::vector<std::size_t> counts(m);
+  std::size_t assigned = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    counts[i] = std::min(static_cast<std::size_t>(std::floor(ideal[i])), cap);
+    assigned += counts[i];
+  }
+  for (std::size_t left = total - assigned; left > 0; --left) {
+    std::size_t best = m;
+    double best_deficit = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < m; ++i) {
+      if (counts[i] >= cap) continue;
+      const double deficit = ideal[i] - static_cast<double>(counts[i]);
+      if (deficit > best_deficit) {
+        best_deficit = deficit;
+        best = i;
+      }
+    }
+    ++counts[best];
+  }
+  return counts;
+}
+
+TEST(ProportionalCounts, MatchesLinearScanReference) {
+  Rng rng(2024);
+  std::size_t multi_increment_cases = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto m = static_cast<std::size_t>(
+        trial % 4 == 0 ? rng.uniform_int(500, 1000) : rng.uniform_int(1, 40));
+    std::vector<double> w(m);
+    switch (trial % 5) {
+      case 0:  // continuous weights
+        for (double& x : w) x = rng.uniform(0.1, 10.0);
+        break;
+      case 1:  // few distinct values: exact ties everywhere
+        for (double& x : w) x = static_cast<double>(rng.uniform_int(1, 3));
+        break;
+      case 2:  // zeros mixed with tied positives
+        for (double& x : w) x = rng.bernoulli(0.4) ? 0.0 : 2.0;
+        break;
+      case 3:  // one dominant worker whose cap binds
+        for (double& x : w) x = rng.uniform(0.5, 1.5);
+        w[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(m) - 1))] =
+            1000.0 * static_cast<double>(m);
+        break;
+      default:  // all equal
+        std::fill(w.begin(), w.end(), 1.0);
+    }
+    if (std::all_of(w.begin(), w.end(), [](double x) { return x == 0.0; }))
+      w[0] = 1.0;
+    const std::size_t cap = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    const std::size_t total = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(cap * m)));
+    const auto expected = reference_proportional_counts(w, total, cap);
+    EXPECT_EQ(proportional_counts(w, total, cap), expected)
+        << "trial=" << trial << " m=" << m << " total=" << total
+        << " cap=" << cap;
+
+    // Count the inputs whose remainder gives some worker two or more units
+    // (only possible when caps bind), so the sweep provably covers them.
+    double weight_sum = 0.0;
+    for (double x : w) weight_sum += x;
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto floor_count = std::min(
+          static_cast<std::size_t>(
+              std::floor(static_cast<double>(total) * w[i] / weight_sum)),
+          cap);
+      if (expected[i] >= floor_count + 2) {
+        ++multi_increment_cases;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(multi_increment_cases, 10u);
+}
+
+TEST(ProportionalCounts, HeterAwareCountsMatchReferenceAtScale) {
+  // The Eq. 5 call shape (total = k(s+1), cap = k) up to m = 1000.
+  Rng rng(77);
+  for (std::size_t m : {10u, 100u, 1000u}) {
+    for (std::size_t s : {1u, 2u, 3u}) {
+      Throughputs c(m);
+      for (double& x : c) x = rng.uniform(1.0, 8.0);
+      const std::size_t k = 2 * m;
+      EXPECT_EQ(heter_aware_counts(c, k, s),
+                reference_proportional_counts(c, k * (s + 1), k))
+          << "m=" << m << " s=" << s;
+    }
+  }
 }
 
 TEST(HeterAwareCounts, MatchesEquationFive) {
