@@ -232,7 +232,7 @@ void BM_KernelLeastSquaresAllocating(benchmark::State& state) {
   HeterAwareScheme scheme(c, 2 * m, 1, rng);
   std::vector<std::size_t> rows;
   for (std::size_t w = 1; w < m; ++w) rows.push_back(w);
-  const Matrix& b = scheme.coding_matrix();
+  const Matrix b = scheme.sparse_matrix().to_dense();
   const Vector ones(b.cols(), 1.0);
   AllocCounter allocs;
   for (auto _ : state) {
@@ -245,22 +245,23 @@ void BM_KernelLeastSquaresAllocating(benchmark::State& state) {
 BENCHMARK(BM_KernelLeastSquaresAllocating)->Arg(8)->Arg(58);
 
 void BM_KernelLeastSquaresWorkspace(benchmark::State& state) {
-  // Same solve against the selected rows through a reused QrWorkspace.
+  // Same solve packed straight from the selected CSR rows of B through a
+  // reused QrWorkspace.
   const auto m = static_cast<std::size_t>(state.range(0));
   const Throughputs c = spread_throughputs(m);
   Rng rng(25);
   HeterAwareScheme scheme(c, 2 * m, 1, rng);
   std::vector<std::size_t> rows;
   for (std::size_t w = 1; w < m; ++w) rows.push_back(w);
-  const Matrix& b = scheme.coding_matrix();
+  const SparseRowMatrix& b = scheme.sparse_matrix();
   const Vector ones(b.cols(), 1.0);
   QrWorkspace ws;
   Vector x;
-  ws.factor_transposed(RowSelectView(b, rows));
+  ws.factor_transposed(b, rows);
   ws.solve_into(ones, x);  // warm-up
   AllocCounter allocs;
   for (auto _ : state) {
-    ws.factor_transposed(RowSelectView(b, rows));
+    ws.factor_transposed(b, rows);
     double residual = ws.solve_into(ones, x);
     benchmark::DoNotOptimize(residual);
     benchmark::DoNotOptimize(x.data());
@@ -279,19 +280,19 @@ void BM_Condition1Workspace(benchmark::State& state) {
   Rng rng(26);
   HeterAwareScheme scheme(c, 2 * m, s, rng);
   SolveWorkspace ws;
-  bool ok = satisfies_condition1(scheme.coding_matrix(), s, 1e-8, &ws);
+  bool ok = satisfies_condition1(scheme.sparse_matrix(), s, 1e-8, &ws);
   AllocCounter allocs;
   for (auto _ : state) {
-    ok = satisfies_condition1(scheme.coding_matrix(), s, 1e-8, &ws);
+    ok = satisfies_condition1(scheme.sparse_matrix(), s, 1e-8, &ws);
     benchmark::DoNotOptimize(ok);
   }
   allocs.report(state);
 }
 BENCHMARK(BM_Condition1Workspace)->Args({8, 2})->Args({12, 2})->Args({16, 2});
 
-// The construction benches touch only the sparse B: the dense view
-// coding_matrix() would materialize 10,000 × 20,000 doubles (1.6 GB) at the
-// 10k args and time that instead of the build.
+// The construction benches touch only the sparse B: a dense copy would
+// materialize 10,000 × 20,000 doubles (1.6 GB) at the 10k args and time
+// that instead of the build.
 void BM_HeterAwareConstruction(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto s = static_cast<std::size_t>(state.range(1));

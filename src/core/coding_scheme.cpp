@@ -49,16 +49,6 @@ CodingScheme::CodingScheme(SparseRowMatrix b, std::size_t s)
   }
 }
 
-CodingScheme::CodingScheme(const Matrix& b, Assignment assignment,
-                           std::size_t s)
-    : CodingScheme(SparseRowMatrix::from_dense(b), std::move(assignment), s) {}
-
-const Matrix& CodingScheme::coding_matrix() const {
-  std::call_once(dense_view_once_,
-                 [this] { dense_view_ = coding_matrix_.to_dense(); });
-  return dense_view_;
-}
-
 void CodingScheme::set_decode_gate(DecodeGate gate) {
   HGC_REQUIRE(gate.trigger_of.empty() ||
                   gate.trigger_of.size() == num_workers(),
@@ -89,8 +79,7 @@ std::optional<Vector> CodingScheme::generic_decode(
   if (rows.empty()) return std::nullopt;
 
   // Solve B_Rᵀ·x = 1 (k equations, |R| unknowns) packed straight from the
-  // sparse rows of B — byte-identical to the old dense gather (see
-  // QrWorkspace::factor_transposed's sparse overload).
+  // sparse rows of B (QrWorkspace::factor_transposed).
   ws.qr.factor_transposed(coding_matrix_, rows);
   ws.rhs.assign(num_partitions(), 1.0);
   const double residual = ws.qr.solve_into(ws.rhs, ws.x);

@@ -6,18 +6,16 @@
 // responded so far, can I reconstruct Σ g_j — and with what coefficients?"
 // decoding_coefficients() answers it; everything else is bookkeeping.
 //
-// B is ≤(s+1)-sparse per row for every paper scheme, so the PRIMARY
+// B is ≤(s+1)-sparse per row for every paper scheme, so its ONLY
 // representation is a SparseRowMatrix: construction, encode, decode packing
 // and the load/assignment accessors all run off nonzero structure — O(m·s)
-// instead of the dense O(m·k) that walls out 10k-worker clusters. A dense
-// view still exists for the small-m solve paths and external consumers, but
-// it materializes lazily on first request and never on the scale path.
+// instead of the dense O(m·k) that walls out 10k-worker clusters. Callers
+// that want a dense copy (test references) take sparse_matrix().to_dense().
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -67,14 +65,8 @@ class CodingScheme {
   /// Number of stragglers this instance is provisioned to tolerate.
   std::size_t stragglers_tolerated() const { return s_; }
 
-  /// The coding matrix B in its native sparse form — the representation
-  /// every hot path should consume.
+  /// The coding matrix B, in its one (sparse) form.
   const SparseRowMatrix& sparse_matrix() const { return coding_matrix_; }
-
-  /// Dense view of B, materialized lazily on first call (thread-safe) and
-  /// cached. At 10k workers this is gigabytes — keep it off scale paths;
-  /// it exists for small-m solve/debug consumers only.
-  const Matrix& coding_matrix() const;
 
   /// Data-partition assignment (supp(b_i) per worker).
   const Assignment& assignment() const { return assignment_; }
@@ -109,10 +101,6 @@ class CodingScheme {
   /// the sparse rows in O(nnz), no scan, no redundant validation.
   CodingScheme(SparseRowMatrix b, std::size_t s);
 
-  /// Dense convenience for constructors/tests that still build a Matrix;
-  /// converts via SparseRowMatrix::from_dense (support = entries != 0.0).
-  CodingScheme(const Matrix& b, Assignment assignment, std::size_t s);
-
   /// Generic decodability fallback: least-squares solve of B_Rᵀ·x = 1 with a
   /// residual test. Works for any B; O(k·|R|²). Scratch (the row selection,
   /// the packed B_Rᵀ, QR factors, rhs) lives in a per-thread workspace, so
@@ -135,11 +123,6 @@ class CodingScheme {
   Assignment assignment_;
   std::size_t s_;
   DecodeGate decode_gate_;
-  // Lazily materialized dense view; guarded so concurrent sweep threads
-  // sharing one scheme race-free. Logically const — a pure function of
-  // coding_matrix_.
-  mutable Matrix dense_view_;
-  mutable std::once_flag dense_view_once_;
 };
 
 /// Worker-side encoding: g̃_w = Σ_j B(w,j)·g_j over the partitions worker w

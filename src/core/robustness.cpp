@@ -8,22 +8,6 @@
 
 namespace hgc {
 
-bool ones_in_row_span(const Matrix& b, std::span<const std::size_t> rows,
-                      double tolerance) {
-  thread_local SolveWorkspace ws;
-  return ones_in_row_span(b, rows, tolerance, ws);
-}
-
-bool ones_in_row_span(const Matrix& b, std::span<const std::size_t> rows,
-                      double tolerance, SolveWorkspace& ws) {
-  if (rows.empty()) return false;
-  // Least-squares B_Rᵀ·x = 1 with a residual test, solved straight against
-  // the selected rows (no select_rows/transposed temporaries).
-  ws.qr.factor_transposed(RowSelectView(b, rows));
-  ws.rhs.assign(b.cols(), 1.0);
-  return ws.qr.solve_into(ws.rhs, ws.x) <= tolerance;
-}
-
 bool ones_in_row_span(const SparseRowMatrix& b,
                       std::span<const std::size_t> rows, double tolerance) {
   thread_local SolveWorkspace ws;
@@ -34,8 +18,8 @@ bool ones_in_row_span(const SparseRowMatrix& b,
                       std::span<const std::size_t> rows, double tolerance,
                       SolveWorkspace& ws) {
   if (rows.empty()) return false;
-  // Identical solve to the dense variant: the sparse scatter packs a
-  // byte-identical B_Rᵀ (see QrWorkspace::factor_transposed).
+  // Least-squares B_Rᵀ·x = 1 with a residual test, packed straight from the
+  // selected CSR rows (no select_rows/transposed temporaries).
   ws.qr.factor_transposed(b, rows);
   ws.rhs.assign(b.cols(), 1.0);
   return ws.qr.solve_into(ws.rhs, ws.x) <= tolerance;
@@ -55,8 +39,8 @@ std::size_t count_straggler_patterns(std::size_t m, std::size_t s,
   return static_cast<std::size_t>(n);
 }
 
-bool satisfies_condition1(const Matrix& b, std::size_t s, double tolerance,
-                          SolveWorkspace* ws) {
+bool satisfies_condition1(const SparseRowMatrix& b, std::size_t s,
+                          double tolerance, SolveWorkspace* ws) {
   const std::size_t m = b.rows();
   HGC_REQUIRE(s < m, "condition 1 needs s < m");
   thread_local SolveWorkspace shared;

@@ -61,11 +61,15 @@ struct RoundOutcome {
   double time = std::numeric_limits<double>::infinity();
   std::size_t results_used = 0;
   std::size_t dropped = 0;  ///< messages the link lost in flight
+  /// Decoding coefficients at the stop time (supp ⊆ arrived workers,
+  /// a·B = 1); nullopt when the round failed.
   std::optional<Vector> coefficients;
   Vector aggregate;  ///< decoded Σ g_j; empty in timing-only rounds
   /// Per-worker pure compute durations (+inf for faulted/idle workers).
   std::vector<double> compute_times;
-  /// Fig. 5 metric Σ busy_i / (m · T); 0 when the round failed.
+  /// Fig. 5 metric Σ busy_i / (m · T); 0 when the round failed. A worker is
+  /// busy while computing (waiting in a delay queue is not busy); workers
+  /// still computing at T are clipped to T.
   double resource_usage = 0.0;
   std::size_t events_executed = 0;
 };

@@ -26,12 +26,20 @@ namespace hgc::exec {
 
 namespace {
 
+/// `prefix` followed by `i` in decimal. Appends instead of
+/// `prefix + std::to_string(i)`: GCC 12 at -O3 inlines that operator+'s
+/// insert and reports a false -Wrestrict overlap, which -Werror turns fatal.
+std::string indexed_name(const char* prefix, std::size_t i) {
+  std::string name(prefix);
+  name += std::to_string(i);
+  return name;
+}
+
 /// Curve points → flat metrics (t<i>, loss<i>), plus the final summary.
 void emit_trace(const LossTrace& trace, CellResult& result) {
   for (std::size_t i = 0; i < trace.points.size(); ++i) {
-    result.metrics.emplace_back("t" + std::to_string(i),
-                                trace.points[i].time);
-    result.metrics.emplace_back("loss" + std::to_string(i),
+    result.metrics.emplace_back(indexed_name("t", i), trace.points[i].time);
+    result.metrics.emplace_back(indexed_name("loss", i),
                                 trace.points[i].loss);
   }
   result.metrics.emplace_back("final_time", trace.total_time());

@@ -60,25 +60,13 @@ void QrWorkspace::factor(const Matrix& a, double tolerance) {
   factor_packed(tolerance);
 }
 
-void QrWorkspace::factor_transposed(const RowSelectView& view,
-                                    double tolerance) {
-  // Pack viewᵀ: entry (j, i) = view(i, j). Rows of the base matrix are
-  // contiguous reads; the strided writes are cheap at coding-matrix sizes.
-  qr_.reshape(view.cols(), view.rows());
-  for (std::size_t i = 0; i < view.rows(); ++i) {
-    const auto row = view.row(i);
-    for (std::size_t j = 0; j < row.size(); ++j) qr_(j, i) = row[j];
-  }
-  factor_packed(tolerance);
-}
-
 void QrWorkspace::factor_transposed(const SparseRowMatrix& b,
                                     std::span<const std::size_t> rows,
                                     double tolerance) {
   // Pack (B_R)ᵀ column by column: zero-fill, then scatter row i's nonzeros
-  // down column i. The packed bytes equal the dense gather's (absent
-  // entries are +0.0 there too), so sparse vs dense packing cannot change
-  // a factorization bit.
+  // down column i. The packed bytes equal a dense copy's (absent entries
+  // are +0.0 there too), so packing from CSR cannot change a factorization
+  // bit.
   qr_.reshape(b.cols(), rows.size());
   std::fill(qr_.data().begin(), qr_.data().end(), 0.0);
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -1,7 +1,8 @@
 // Reusable factorization workspaces and in-place solve APIs.
 //
-// Every novel straggler pattern costs a dense solve over a small coding
-// matrix (Algorithm 1, the generic decodability test, Condition-1 sweeps).
+// Every novel straggler pattern costs a dense solve over a small slice of
+// the coding matrix (Algorithm 1, the generic decodability test,
+// Condition-1 sweeps), packed from B's CSR rows by factor_transposed.
 // The one-shot helpers (lu_solve, least_squares) allocate factor and
 // scratch buffers per call; at sweep/robustness scale that per-call traffic
 // dominates. A workspace owns those buffers and reuses them call over call:
@@ -24,29 +25,6 @@
 #include "linalg/sparse.hpp"
 
 namespace hgc {
-
-/// A non-owning view of selected rows of a matrix (repeats allowed, any
-/// order). Lets solvers gather B_R straight from B without materializing
-/// select_rows(...)/transposed() temporaries. Both the matrix and the index
-/// storage must outlive the view.
-class RowSelectView {
- public:
-  RowSelectView(const Matrix& base, std::span<const std::size_t> rows)
-      : base_(&base), indices_(rows) {
-    for (std::size_t r : rows)
-      HGC_REQUIRE(r < base.rows(), "row selection out of range");
-  }
-
-  std::size_t rows() const { return indices_.size(); }
-  std::size_t cols() const { return base_->cols(); }
-  std::span<const double> row(std::size_t i) const {
-    return base_->row(indices_[i]);
-  }
-
- private:
-  const Matrix* base_;
-  std::span<const std::size_t> indices_;
-};
 
 /// PA = LU with partial pivoting over owned, reusable storage.
 class LuWorkspace {
@@ -81,14 +59,12 @@ class QrWorkspace {
   /// Copy `a` into the reused buffer and factor.
   void factor(const Matrix& a, double tolerance = 1e-10);
 
-  /// Factor viewᵀ — i.e. (B_R)ᵀ for a row selection of B — gathered
-  /// directly from the base matrix, no temporaries.
-  void factor_transposed(const RowSelectView& view, double tolerance = 1e-10);
-
-  /// Factor (B_R)ᵀ for a row selection of a sparse B: each selected row is
-  /// zero-filled then scattered into its packed column. For a support-clean
-  /// matrix the packed buffer is byte-identical to the dense gather above,
-  /// so the factorization — and every downstream solve byte — is unchanged.
+  /// Factor (B_R)ᵀ for a row selection `rows` of B (repeats allowed, any
+  /// order; each must be < b.rows()), packed straight from the CSR rows:
+  /// each selected row's column is zero-filled, then its nonzeros scattered
+  /// in. No select_rows/transposed temporaries. For a support-clean matrix
+  /// the packed buffer is byte-identical to
+  /// factor(b.to_dense().select_rows(rows).transposed()).
   void factor_transposed(const SparseRowMatrix& b,
                          std::span<const std::size_t> rows,
                          double tolerance = 1e-10);

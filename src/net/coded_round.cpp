@@ -1,14 +1,11 @@
 #include "net/coded_round.hpp"
 
-#include <utility>
-
 #include "engine/link.hpp"
-#include "engine/round.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
 
-NetworkRoundResult run_coded_round(
+engine::RoundOutcome run_coded_round(
     const CodingScheme& scheme, const Cluster& cluster,
     const IterationConditions& conditions,
     const std::vector<Vector>& partition_gradients, SimulatedNetwork& network,
@@ -23,18 +20,7 @@ NetworkRoundResult run_coded_round(
   options.partition_gradients = &partition_gradients;
   options.wire_frames = true;
   options.iteration = iteration;
-  engine::RoundOutcome round =
-      engine::run_round(scheme, cluster, conditions, link, options);
-
-  NetworkRoundResult result;
-  result.decoded = round.decoded;
-  result.dropped = round.dropped;
-  if (round.decoded) {
-    result.time = round.time;
-    result.results_used = round.results_used;
-    result.aggregate = std::move(round.aggregate);
-  }
-  return result;
+  return engine::run_round(scheme, cluster, conditions, link, options);
 }
 
 }  // namespace hgc

@@ -7,23 +7,17 @@
 #include "cluster/cluster.hpp"
 #include "cluster/straggler.hpp"
 #include "core/coding_scheme.hpp"
+#include "engine/round.hpp"
 #include "net/network.hpp"
 
 namespace hgc {
 
-/// Outcome of one networked round.
-struct NetworkRoundResult {
-  bool decoded = false;
-  double time = 0.0;              ///< master decode time
-  std::size_t results_used = 0;   ///< arrivals consumed before decoding
-  std::size_t dropped = 0;        ///< messages lost in flight this round
-  Vector aggregate;               ///< decoded Σ g_j (empty if !decoded)
-};
-
 /// Run one round. `partition_gradients[j]` is g_j (dimension shared).
 /// Workers are network nodes 0..m-1; the master is node m (the network must
-/// have at least m+1 nodes). `iteration` tags the frames.
-NetworkRoundResult run_coded_round(
+/// have at least m+1 nodes). `iteration` tags the frames. The outcome's
+/// `aggregate` is the decoded Σ g_j and `dropped` counts the messages lost
+/// in flight; `time` and `results_used` mean something only when `decoded`.
+engine::RoundOutcome run_coded_round(
     const CodingScheme& scheme, const Cluster& cluster,
     const IterationConditions& conditions,
     const std::vector<Vector>& partition_gradients, SimulatedNetwork& network,

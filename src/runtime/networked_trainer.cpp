@@ -44,7 +44,7 @@ NetworkedTrainingResult train_bsp_networked(
          ++attempt) {
       const IterationConditions conditions =
           config.straggler_model.draw(m, condition_rng);
-      const NetworkRoundResult round = run_coded_round(
+      const engine::RoundOutcome round = run_coded_round(
           *scheme, cluster, conditions, grads, network, iter);
       result.messages_dropped += round.dropped;
       if (!round.decoded) {

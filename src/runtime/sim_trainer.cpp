@@ -40,7 +40,7 @@ BspTrainingResult train_bsp_coded(SchemeKind kind, const Cluster& cluster,
   for (std::size_t iter = 1; iter <= config.iterations; ++iter) {
     const IterationConditions conditions =
         config.straggler_model.draw(m, condition_rng);
-    const IterationResult sim_result =
+    const engine::RoundOutcome sim_result =
         simulate_iteration(*scheme, cluster, conditions, config.sim);
     if (!sim_result.decoded) {
       // The iteration never completes (e.g. naive + fault): the clock would

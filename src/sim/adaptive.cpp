@@ -47,7 +47,7 @@ AdaptiveResult run_adaptive(const Cluster& cluster,
       conditions.speed_factor[config.drift.worker] *= config.drift.factor;
     }
 
-    const IterationResult sim_result =
+    const engine::RoundOutcome sim_result =
         simulate_iteration(*scheme, cluster, conditions, config.sim);
     if (!sim_result.decoded) {
       ++result.failures;

@@ -72,7 +72,7 @@ SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
   for (std::size_t iter = 0; iter < config.iterations; ++iter) {
     const IterationConditions conditions = config.model.draw(m, condition_rng);
     if (conditions_log) conditions_log->push_back(conditions);
-    const IterationResult result =
+    const engine::RoundOutcome result =
         simulate_iteration(*scheme, cluster, conditions, config.sim,
                            decoding_cache ? &*decoding_cache : nullptr,
                            trace_clock);

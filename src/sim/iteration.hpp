@@ -8,14 +8,13 @@
 // Section III-C generalized to delayed (not just full) stragglers.
 #pragma once
 
-#include <limits>
-#include <optional>
-#include <vector>
+#include <cstdint>
 
 #include "cluster/cluster.hpp"
 #include "cluster/straggler.hpp"
 #include "core/coding_scheme.hpp"
 #include "core/decoding_cache.hpp"
+#include "engine/round.hpp"
 
 namespace hgc {
 
@@ -29,38 +28,19 @@ struct SimParams {
   std::uint32_t trace_track = 0;
 };
 
-/// Outcome of one simulated iteration.
-struct IterationResult {
-  bool decoded = false;
-  /// Master decode time (seconds); +inf when the iteration cannot complete
-  /// (e.g. naive scheme with a faulted worker).
-  double time = std::numeric_limits<double>::infinity();
-  /// Results that had arrived when decoding succeeded.
-  std::size_t results_used = 0;
-  /// Fig. 5 metric: Σ busy_i / (m · T). A worker is busy while computing
-  /// (waiting in a delay queue is not busy); faulted workers contribute 0;
-  /// workers still computing at T are clipped to T.
-  double resource_usage = 0.0;
-  /// Decoding coefficients at the stop time (supp ⊆ arrived workers,
-  /// a·B = 1); trainers combine real coded gradients with them.
-  std::optional<Vector> coefficients;
-  /// Per-worker pure compute durations this iteration (+inf for faulted or
-  /// idle workers); feeds online throughput estimation.
-  std::vector<double> compute_times;
-};
-
-/// Simulate one iteration of `scheme` on `cluster` under `conditions`.
+/// Simulate one iteration of `scheme` on `cluster` under `conditions`: a
+/// timing-only engine round over a fixed-latency link. The outcome's `time`
+/// is +inf when the iteration cannot complete (e.g. naive scheme with a
+/// faulted worker).
 /// `decoding_cache`, when non-null, must wrap `scheme`; callers replaying
 /// many iterations share it so recurring straggler patterns decode from the
 /// LRU instead of re-solving (result-transparent either way).
 /// `trace_time_base` is the caller's accumulated virtual clock, placing this
 /// iteration on the params.trace_track timeline (observability only).
-IterationResult simulate_iteration(const CodingScheme& scheme,
-                                   const Cluster& cluster,
-                                   const IterationConditions& conditions,
-                                   const SimParams& params = {},
-                                   DecodingCache* decoding_cache = nullptr,
-                                   double trace_time_base = 0.0);
+engine::RoundOutcome simulate_iteration(
+    const CodingScheme& scheme, const Cluster& cluster,
+    const IterationConditions& conditions, const SimParams& params = {},
+    DecodingCache* decoding_cache = nullptr, double trace_time_base = 0.0);
 
 /// The balanced-optimum iteration time (s+1)/Σw of Theorem 5 translated to
 /// cluster units (datasets/second); what heter-aware achieves with exact

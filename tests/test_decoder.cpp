@@ -27,7 +27,8 @@ TEST(DecodingMatrix, OneRowPerPattern) {
     // Coefficients vanish on the pattern's stragglers and reconstruct 1.
     for (WorkerId w : row.stragglers)
       EXPECT_DOUBLE_EQ(row.coefficients[w], 0.0);
-    const Vector ab = scheme.coding_matrix().apply_transpose(row.coefficients);
+    Vector ab(scheme.num_partitions());
+    sparse::gemv_t(scheme.sparse_matrix(), row.coefficients, ab);
     for (double v : ab) EXPECT_NEAR(v, 1.0, 1e-8);
   }
 }
@@ -51,7 +52,8 @@ TEST(DecodingMatrix, NaiveHasSingleEmptyPattern) {
 class NeverDecodableScheme : public CodingScheme {
  public:
   NeverDecodableScheme(std::size_t m, std::size_t s)
-      : CodingScheme(Matrix::ones(m, 1), Assignment(m, {0}), s) {}
+      : CodingScheme(SparseRowMatrix::from_dense(Matrix::ones(m, 1)),
+                     Assignment(m, {0}), s) {}
   std::string name() const override { return "never-decodable"; }
   std::optional<Vector> decoding_coefficients(
       const std::vector<bool>&) const override {
@@ -411,7 +413,8 @@ TEST(DecodeSession, GroupSchemeAtScaleMakesAtMostSPlusTwoCanonicalCalls) {
 }
 
 TEST(OnesInRowSpan, BasicGeometry) {
-  const Matrix b{{1.0, 0.0}, {0.0, 1.0}, {2.0, 2.0}};
+  const SparseRowMatrix b =
+      SparseRowMatrix::from_dense(Matrix{{1.0, 0.0}, {0.0, 1.0}, {2.0, 2.0}});
   const std::vector<std::size_t> both = {0, 1};
   EXPECT_TRUE(ones_in_row_span(b, both));
   const std::vector<std::size_t> third = {2};

@@ -128,7 +128,7 @@ TEST(DecodingCacheWide, DistinguishesPatternsBeyond64Workers) {
 class CountingScheme : public CodingScheme {
  public:
   explicit CountingScheme(const CodingScheme& inner)
-      : CodingScheme(Matrix(inner.coding_matrix()),
+      : CodingScheme(SparseRowMatrix(inner.sparse_matrix()),
                      Assignment(inner.assignment()),
                      inner.stragglers_tolerated()),
         inner_(inner) {}
@@ -157,8 +157,9 @@ class CountingScheme : public CodingScheme {
 class NeverDecodableScheme : public CodingScheme {
  public:
   NeverDecodableScheme()
-      : CodingScheme(Matrix{{1, 1}, {1, 1}, {1, 1}},
-                     Assignment{{0, 1}, {0, 1}, {0, 1}}, 1) {}
+      : CodingScheme(
+            SparseRowMatrix::from_dense(Matrix{{1, 1}, {1, 1}, {1, 1}}),
+            Assignment{{0, 1}, {0, 1}, {0, 1}}, 1) {}
 
   std::string name() const override { return "never"; }
 

@@ -19,6 +19,7 @@
 #include "linalg/lu.hpp"
 #include "linalg/nullspace.hpp"
 #include "linalg/qr.hpp"
+#include "linalg/sparse.hpp"
 #include "linalg/workspace.hpp"
 #include "util/rng.hpp"
 
@@ -241,6 +242,7 @@ TEST(QrWorkspace, FactorTransposedMatchesMaterializedTranspose) {
     const std::size_t m = 4 + static_cast<std::size_t>(trial % 5);
     const std::size_t k = 2 + static_cast<std::size_t>((trial * 3) % 7);
     const Matrix b = random_matrix(m, k, rng);
+    const SparseRowMatrix sparse_b = SparseRowMatrix::from_dense(b);
     // A random row subset, unsorted order on odd trials.
     std::vector<std::size_t> rows;
     for (std::size_t w = 0; w < m; ++w)
@@ -249,7 +251,7 @@ TEST(QrWorkspace, FactorTransposedMatchesMaterializedTranspose) {
     if (trial % 2 == 1) std::swap(rows.front(), rows.back());
 
     const Vector ones(k, 1.0);
-    ws.factor_transposed(RowSelectView(b, rows));
+    ws.factor_transposed(sparse_b, rows);
     const double residual = ws.solve_into(ones, x);
     const auto ref = least_squares(b.select_rows(rows).transposed(), ones);
     EXPECT_EQ(ws.rank(), ref.rank) << "trial " << trial;
@@ -259,10 +261,11 @@ TEST(QrWorkspace, FactorTransposedMatchesMaterializedTranspose) {
   }
 }
 
-TEST(RowSelectView, RejectsOutOfRangeRows) {
-  const Matrix b(3, 2);
+TEST(QrWorkspace, FactorTransposedRejectsOutOfRangeRows) {
+  const SparseRowMatrix b = SparseRowMatrix::from_dense(Matrix::ones(3, 2));
   const std::vector<std::size_t> bad{1, 3};
-  EXPECT_THROW(RowSelectView(b, bad), std::invalid_argument);
+  QrWorkspace ws;
+  EXPECT_THROW(ws.factor_transposed(b, bad), std::invalid_argument);
 }
 
 TEST(NullSpace, IntoVariantMatchesAllocating) {
@@ -283,21 +286,25 @@ TEST(NullSpace, IntoVariantMatchesAllocating) {
 
 // ------------------------------------------- decode-path equivalences --
 
+// B with its first `n` rows zeroed: with s = 2, three dead workers break
+// Condition 1.
+SparseRowMatrix without_first_rows(const SparseRowMatrix& b, std::size_t n) {
+  Matrix dense = b.to_dense();
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t j = 0; j < dense.cols(); ++j) dense(r, j) = 0.0;
+  return SparseRowMatrix::from_dense(dense);
+}
+
 TEST(Robustness, WorkspaceOverloadsAgreeOnRealScheme) {
   Rng rng(113);
   const CyclicScheme scheme(8, 2, rng);
-  const Matrix& b = scheme.coding_matrix();
+  const SparseRowMatrix& b = scheme.sparse_matrix();
   SolveWorkspace ws;
   EXPECT_EQ(satisfies_condition1(b, 2),
             satisfies_condition1(b, 2, 1e-8, &ws));
   EXPECT_TRUE(satisfies_condition1(b, 2, 1e-8, &ws));
   // A matrix that is NOT robust must agree too.
-  Matrix broken = b;
-  for (std::size_t j = 0; j < broken.cols(); ++j) {
-    broken(0, j) = 0.0;
-    broken(1, j) = 0.0;
-    broken(2, j) = 0.0;
-  }
+  const SparseRowMatrix broken = without_first_rows(b, 3);
   EXPECT_EQ(satisfies_condition1(broken, 2),
             satisfies_condition1(broken, 2, 1e-8, &ws));
 
@@ -309,7 +316,7 @@ TEST(Robustness, WorkspaceOverloadsAgreeOnRealScheme) {
 TEST(Robustness, Condition1ZeroAllocationsAfterWarmup) {
   Rng rng(114);
   const CyclicScheme scheme(8, 2, rng);
-  const Matrix& b = scheme.coding_matrix();
+  const SparseRowMatrix& b = scheme.sparse_matrix();
   SolveWorkspace ws;
   // Warm-up sizes every buffer in the workspace (C(8,2) = 28 solves).
   ASSERT_TRUE(satisfies_condition1(b, 2, 1e-8, &ws));
@@ -355,10 +362,8 @@ TEST(Robustness, ThreadLocalWorkspacesSolveConcurrently) {
   // single-threaded verdicts exactly.
   Rng rng(116);
   const CyclicScheme scheme(8, 2, rng);
-  const Matrix& b = scheme.coding_matrix();
-  Matrix broken = b;
-  for (std::size_t j = 0; j < broken.cols(); ++j)
-    broken(0, j) = broken(1, j) = broken(2, j) = 0.0;
+  const SparseRowMatrix& b = scheme.sparse_matrix();
+  const SparseRowMatrix broken = without_first_rows(b, 3);
 
   const bool good_ref = satisfies_condition1(b, 2);
   const bool broken_ref = satisfies_condition1(broken, 2);

@@ -15,12 +15,13 @@ namespace {
 
 const Throughputs kClusterLike = {2.0, 4.0, 6.0, 8.0, 8.0};
 
-void expect_same_matrix(const Matrix& a, const Matrix& b) {
+void expect_same_matrix(const SparseRowMatrix& a, const SparseRowMatrix& b) {
   ASSERT_EQ(a.rows(), b.rows());
   ASSERT_EQ(a.cols(), b.cols());
+  EXPECT_EQ(a.nnz(), b.nnz());
   for (std::size_t r = 0; r < a.rows(); ++r)
     for (std::size_t c = 0; c < a.cols(); ++c)
-      EXPECT_EQ(a(r, c), b(r, c)) << "entry (" << r << ", " << c << ")";
+      EXPECT_EQ(a.at(r, c), b.at(r, c)) << "entry (" << r << ", " << c << ")";
 }
 
 TEST(SchemeCacheTraits, ClassifiesConstructionInputs) {
@@ -63,7 +64,7 @@ TEST(SchemeCache, MatchesUncachedConstruction) {
     const auto cached = cache.get_or_create(kind, six, 12, 1, 99);
     Rng rng(99);
     const auto direct = make_scheme(kind, six, 12, 1, rng);
-    expect_same_matrix(cached->coding_matrix(), direct->coding_matrix());
+    expect_same_matrix(cached->sparse_matrix(), direct->sparse_matrix());
   }
 }
 

@@ -18,7 +18,9 @@ TEST(Naive, IdentityCodingMatrix) {
   EXPECT_EQ(naive.num_partitions(), 4u);
   EXPECT_EQ(naive.stragglers_tolerated(), 0u);
   EXPECT_LT(
-      Matrix::max_abs_diff(naive.coding_matrix(), Matrix::identity(4)), 1e-15);
+      Matrix::max_abs_diff(naive.sparse_matrix().to_dense(),
+                           Matrix::identity(4)),
+      1e-15);
   for (WorkerId w = 0; w < 4; ++w) EXPECT_EQ(naive.load(w), 1u);
 }
 
@@ -42,7 +44,7 @@ TEST(Cyclic, UniformLoadsAndRobustness) {
   CyclicScheme cyclic(6, 2, rng);
   EXPECT_EQ(cyclic.num_partitions(), 6u);
   for (WorkerId w = 0; w < 6; ++w) EXPECT_EQ(cyclic.load(w), 3u);
-  EXPECT_TRUE(satisfies_condition1(cyclic.coding_matrix(), 2));
+  EXPECT_TRUE(satisfies_condition1(cyclic.sparse_matrix(), 2));
 }
 
 TEST(Cyclic, DecodesWithAnyTwoMissing) {
@@ -54,7 +56,8 @@ TEST(Cyclic, DecodesWithAnyTwoMissing) {
       received[a] = received[b] = false;
       const auto coeffs = cyclic.decoding_coefficients(received);
       ASSERT_TRUE(coeffs.has_value()) << a << "," << b;
-      const Vector ab = cyclic.coding_matrix().apply_transpose(*coeffs);
+      Vector ab(cyclic.num_partitions());
+      sparse::gemv_t(cyclic.sparse_matrix(), *coeffs, ab);
       for (double v : ab) EXPECT_NEAR(v, 1.0, 1e-8);
     }
 }
@@ -71,7 +74,7 @@ TEST(Fractional, BlockStructure) {
   FractionalRepetitionScheme frc(6, 1);  // 3 blocks of 2 workers
   ASSERT_EQ(frc.blocks().size(), 3u);
   for (const auto& block : frc.blocks()) EXPECT_EQ(block.size(), 2u);
-  EXPECT_TRUE(satisfies_condition1(frc.coding_matrix(), 1));
+  EXPECT_TRUE(satisfies_condition1(frc.sparse_matrix(), 1));
 }
 
 TEST(Fractional, DecodesFromOnePerBlock) {
@@ -81,7 +84,8 @@ TEST(Fractional, DecodesFromOnePerBlock) {
   std::vector<bool> received = {true, false, false, true, true, false};
   const auto a = frc.decoding_coefficients(received);
   ASSERT_TRUE(a.has_value());
-  const Vector ab = frc.coding_matrix().apply_transpose(*a);
+  Vector ab(frc.num_partitions());
+  sparse::gemv_t(frc.sparse_matrix(), *a, ab);
   for (double v : ab) EXPECT_NEAR(v, 1.0, 1e-12);
   EXPECT_EQ(frc.min_results_required(), 3u);
 }
@@ -102,7 +106,7 @@ TEST(Fractional, CustomPartitionCount) {
   FractionalRepetitionScheme frc(4, 1, 8);  // 2 blocks, stripes of 4
   EXPECT_EQ(frc.num_partitions(), 8u);
   for (WorkerId w = 0; w < 4; ++w) EXPECT_EQ(frc.load(w), 4u);
-  EXPECT_TRUE(satisfies_condition1(frc.coding_matrix(), 1));
+  EXPECT_TRUE(satisfies_condition1(frc.sparse_matrix(), 1));
 }
 
 TEST(Factory, ParsesNames) {
@@ -173,7 +177,9 @@ TEST(CodingScheme, RejectsSupportMismatch) {
   // Matrix support {0} but declared assignment {0,1}: constructor throws.
   class Broken : public CodingScheme {
    public:
-    Broken() : CodingScheme(Matrix{{1.0, 0.0}}, {{0, 1}}, 0) {}
+    Broken()
+        : CodingScheme(SparseRowMatrix::from_dense(Matrix{{1.0, 0.0}}),
+                       {{0, 1}}, 0) {}
     std::string name() const override { return "broken"; }
     std::optional<Vector> decoding_coefficients(
         const std::vector<bool>&) const override {
